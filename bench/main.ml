@@ -438,7 +438,7 @@ let ablations ~quick () =
     "objective: d/dsigma E_{x~N(0,sigma)}[x^2] at sigma = 0.9 (true 1.8)\n";
   let make dist =
     let open Adev.Syntax in
-    let theta = Ad.scalar 0.9 in
+    let theta = Ad.param (Tensor.scalar 0.9) in
     ( theta,
       let* x = Adev.sample (dist (Ad.scalar 0.) theta) in
       Adev.return (Ad.mul x x) )
@@ -457,7 +457,7 @@ let ablations ~quick () =
   in
   let modular =
     List.init n (fun i ->
-        let theta = Ad.scalar 0.4 in
+        let theta = Ad.param (Tensor.scalar 0.4) in
         let guide = Gen.sample (Dist.flip_reinforce theta) "b" in
         let _, grads =
           Adev.grad
@@ -469,7 +469,7 @@ let ablations ~quick () =
   in
   let monolithic =
     List.init n (fun i ->
-        let theta = Ad.scalar 0.4 in
+        let theta = Ad.param (Tensor.scalar 0.4) in
         let guide = Gen.sample (Dist.flip_reinforce theta) "b" in
         let s =
           Svi.elbo_surrogate ~model:toy_model ~guide Svi.Reinforce
@@ -493,7 +493,7 @@ let ablations ~quick () =
       let table = Array.init support (fun i -> Float.sin (float_of_int i)) in
       let make dist_of =
         let logits =
-          Ad.const
+          Ad.param
             (Tensor.init [| support |] (fun ix -> 0.01 *. float_of_int ix.(0)))
         in
         let open Adev.Syntax in

@@ -211,6 +211,7 @@ let obs_gauges () =
     (float_of_int (Parallel.jobs_parallel ()));
   Obs.gauge "parallel/blocks" (float_of_int (Parallel.blocks_run ()));
   Obs.gauge "ad/nodes_total" (float_of_int (Ad.node_count ()));
+  Obs.gauge "ad/swept_nodes" (float_of_int (Ad.swept_nodes ()));
   Obs.gauge "ad/peak_live_nodes" (float_of_int (Ad.peak_live_nodes ()));
   Obs.gauge "ad/remat_replays" (float_of_int (Ad.remat_replays ()))
 

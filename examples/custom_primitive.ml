@@ -37,7 +37,7 @@ let () =
   let open Adev.Syntax in
   let total_v = ref 0. and total_g = ref 0. in
   for i = 0 to n - 1 do
-    let rate = Ad.scalar rate_v in
+    let rate = Ad.param (Tensor.scalar rate_v) in
     let obj =
       let* x = Adev.sample (exponential_reparam rate) in
       Adev.return (Ad.mul x x)

@@ -15,6 +15,16 @@ type t = {
      ordering only — their vjps are never called, the replayed
      segment's local sweep accumulates into them directly). *)
   remat : (unit -> t) option;
+  (* Activity: whether any gradient can flow from this node into a
+     {!param} leaf. Fixed at construction — a node is active iff one of
+     its parents is — so the reverse sweep never enters (or calls the
+     vjp into) a subgraph built only from constants and data. *)
+  active : bool;
+  (* The id of the last graph walk that visited this node: a walk takes
+     a fresh id and marks nodes as it reaches them, in place of a
+     visited set. Only active nodes are ever walked, and an active
+     subgraph belongs to one domain's tape, so marks never race. *)
+  mutable mark : int;
 }
 
 (* Counters are atomic: the sharded training driver runs one forward +
@@ -23,16 +33,23 @@ type t = {
    and provenance side tables). *)
 let counter = Atomic.make 0
 
-(* Live-tape accounting. [live_nodes] is created-minus-retired;
-   [peak_live] tracks its high-water mark. Nodes retire when a
-   checkpoint barrier discards its segment, when a replayed segment's
-   local sweep completes, and when [backward] has consumed a tape —
-   so with remat barriers the peak stops scaling with the full tape
-   length. Both are process-wide; reset them from a quiescent point
-   (between steps) to measure one step's peak. *)
+(* Live-tape accounting. [live_nodes] is created-minus-retired, over
+   active nodes only (inactive ones are plain values the sweep never
+   reaches); [peak_live] tracks its high-water mark. Nodes retire when
+   a checkpoint barrier discards its segment, when a replayed
+   segment's local sweep completes, and when [backward] has consumed a
+   tape — so with remat barriers the peak stops scaling with the full
+   tape length. Both are process-wide; reset them from a quiescent
+   point (between steps) to measure one step's peak. *)
 let live_nodes = Atomic.make 0
 let peak_live = Atomic.make 0
 let remat_replay_total = Atomic.make 0
+
+(* Graph-walk ids (see [mark]) and the monotone count of nodes the
+   reverse sweeps have visited. *)
+let walk_counter = Atomic.make 0
+let fresh_walk () = Atomic.fetch_and_add walk_counter 1 + 1
+let swept_total = Atomic.make 0
 
 let track_new () =
   let l = Atomic.fetch_and_add live_nodes 1 + 1 in
@@ -96,15 +113,21 @@ let segment_pool : Tensor.Pool.t Domain.DLS.key =
 let replay_silencer : ((unit -> unit) -> unit) ref = ref (fun f -> f ())
 let set_replay_silencer s = replay_silencer := s
 
-let node v parents =
+let make ~active ~remat v parents =
   let id = Atomic.fetch_and_add counter 1 + 1 in
-  track_new ();
-  let tl = Domain.DLS.get tally in
-  tl.created <- tl.created + 1;
-  { id; v; g = None; g_owned = false; parents = Array.of_list parents;
-    remat = None }
+  if active then begin
+    track_new ();
+    let tl = Domain.DLS.get tally in
+    tl.created <- tl.created + 1
+  end;
+  { id; v; g = None; g_owned = false; parents; remat; active; mark = 0 }
 
-let const v = node v []
+let node v parents =
+  let parents = Array.of_list parents in
+  make ~active:(Array.exists (fun (p, _) -> p.active) parents) ~remat:None v parents
+
+let const v = make ~active:false ~remat:None v [||]
+let param v = make ~active:true ~remat:None v [||]
 let scalar x = const (Tensor.scalar x)
 let value t = t.v
 let to_float t = Tensor.to_scalar t.v
@@ -112,6 +135,7 @@ let shape t = Tensor.shape t.v
 let is_leaf t = Array.length t.parents = 0
 let id t = t.id
 let node_count () = Atomic.get counter
+let swept_nodes () = Atomic.get swept_total
 
 let accumulate t delta =
   match t.g with
@@ -140,11 +164,17 @@ let backward_passes = Atomic.make 0
 let backward_epoch () = Atomic.get backward_passes
 
 (* [local_sweep ~stop root seed] seeds [root] with [seed] and runs the
-   reverse sweep over every node reachable from it whose id is > [stop]
-   — nodes at or below [stop] are treated as boundary leaves: deltas
-   accumulate into them but their own parents are not traversed (the
-   enclosing sweep owns them). [stop = 0] is a full backward. Returns
-   the number of nodes swept (they are retired by the caller).
+   reverse sweep over every active node reachable from it whose id is
+   > [stop] — nodes at or below [stop] are treated as boundary leaves:
+   deltas accumulate into them but their own parents are not traversed
+   (the enclosing sweep owns them). [stop = 0] is a full backward.
+   Returns the number of nodes swept (they are retired by the caller).
+
+   Inactive parents are skipped outright: neither visited nor handed a
+   delta. Their ancestors are all inactive too, so pruning them removes
+   whole subtrees from the walk without reordering the nodes that
+   remain, and every active node receives the same deltas in the same
+   order as in an unpruned sweep — gradients are bit-identical.
 
    Topological order by DFS with an explicit stack — deep tapes (long
    training unrolls, large AIR step counts) must not overflow the
@@ -157,12 +187,12 @@ let backward_epoch () = Atomic.get backward_passes
    private, so the reverse postorder groups them into the same
    contiguous blocks either way). *)
 let rec local_sweep ~stop root seed =
-  let visited = Hashtbl.create 64 in
+  let walk = fresh_walk () in
   let order = ref [] in
   let swept = ref 0 in
   let stack = ref [] in
   let push n =
-    Hashtbl.add visited n.id ();
+    n.mark <- walk;
     stack := (n, ref 0) :: !stack
   in
   push root;
@@ -174,7 +204,7 @@ let rec local_sweep ~stop root seed =
       if !next_parent < Array.length n.parents then begin
         let p, _ = n.parents.(!next_parent) in
         incr next_parent;
-        if p.id > stop && not (Hashtbl.mem visited p.id) then push p
+        if p.active && p.id > stop && p.mark <> walk then push p
       end
       else begin
         stack := rest;
@@ -182,6 +212,7 @@ let rec local_sweep ~stop root seed =
         incr swept
       end
   done;
+  ignore (Atomic.fetch_and_add swept_total !swept);
   accumulate root seed;
   List.iter
     (fun n ->
@@ -193,7 +224,8 @@ let rec local_sweep ~stop root seed =
         | None ->
           Array.iter
             (fun (p, vjp) ->
-              if stop > 0 && p.id <= stop then begin
+              if not p.active then ()
+              else if stop > 0 && p.id <= stop then begin
                 (* Boundary delta during a replay-local sweep: it
                    outlives this replay's pool resets, so it must be
                    an owned heap tensor. The vjp may return a pooled
@@ -275,12 +307,15 @@ let backward root =
   if not (Tensor.is_scalar root.v || Tensor.size root.v = 1) then
     invalid_arg "Ad.backward: root is not a scalar";
   Atomic.incr backward_passes;
-  let swept = local_sweep ~stop:0 root (Tensor.ones (Tensor.shape root.v)) in
-  (* The tape is consumed: every swept node retires (leaves included —
-     a fresh frame hands out fresh leaves next step). *)
-  let tl = Domain.DLS.get tally in
-  tl.retired <- tl.retired + swept;
-  retire swept
+  (* An inactive root reaches no parameter: there is nothing to sweep. *)
+  if root.active then begin
+    let swept = local_sweep ~stop:0 root (Tensor.ones (Tensor.shape root.v)) in
+    (* The tape is consumed: every swept node retires (leaves included —
+       a fresh frame hands out fresh leaves next step). *)
+    let tl = Domain.DLS.get tally in
+    tl.retired <- tl.retired + swept;
+    retire swept
+  end
 
 (* [checkpoint f] runs [f] once, discards the tape segment it built,
    and returns a single barrier node carrying the segment's value; the
@@ -324,13 +359,18 @@ let checkpoint ?(pool = true) f =
   if r.id <= start then r
   else begin
     (* Boundary discovery replicates the backward DFS (parents in array
-       order, first-encounter) so the barrier's parent order gives
-       boundary nodes the same relative first-visit order in the main
-       sweep that the full tape would have given them. *)
-    let visited = Hashtbl.create 64 in
+       order, first-encounter, inactive parents pruned) so the barrier's
+       parent order gives boundary nodes the same relative first-visit
+       order in the main sweep that the full tape would have given
+       them. Only active boundary nodes can receive a delta, so they
+       are the barrier's only parents. The barrier is as active as the
+       segment's root: a segment may reach parameters that have no
+       boundary node (leaves a frame first hands out inside [f], which
+       the replay finds again in the frame). *)
+    let walk = fresh_walk () in
     let boundary = ref [] in
     let stack = ref [ (r, ref 0) ] in
-    Hashtbl.add visited r.id ();
+    r.mark <- walk;
     let continue = ref true in
     while !continue do
       match !stack with
@@ -339,8 +379,8 @@ let checkpoint ?(pool = true) f =
         if !next_parent < Array.length n.parents then begin
           let p, _ = n.parents.(!next_parent) in
           incr next_parent;
-          if not (Hashtbl.mem visited p.id) then begin
-            Hashtbl.add visited p.id ();
+          if p.active && p.mark <> walk then begin
+            p.mark <- walk;
             if p.id <= start then boundary := p :: !boundary
             else stack := (p, ref 0) :: !stack
           end
@@ -354,13 +394,12 @@ let checkpoint ?(pool = true) f =
       Array.of_list
         (List.rev_map (fun b -> (b, fun (g : Tensor.t) -> g)) !boundary)
     in
-    let id = Atomic.fetch_and_add counter 1 + 1 in
-    track_new ();
-    tl.created <- tl.created + 1;
-    { id; v; g = None; g_owned = false; parents; remat = Some f }
+    make ~active:r.active ~remat:(Some f) v parents
   end
 
 let grad t =
+  if not t.active then
+    invalid_arg "Ad.grad: inactive node (built only from constants; use Ad.param)";
   match t.g with
   | Some g -> g
   | None -> Tensor.zeros (Tensor.shape t.v)

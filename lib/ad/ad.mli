@@ -8,7 +8,18 @@
 
     The module also exposes {!stop_grad} and {!custom}, the two hooks the
     ADEV estimators (see [Adev]) use to construct surrogate losses whose
-    reverse-mode derivatives are unbiased gradient estimates. *)
+    reverse-mode derivatives are unbiased gradient estimates.
+
+    {b Parameters and constants.} Every node carries an {e activity}
+    bit, fixed when it is built: a node is active iff one of its
+    parents is, and the only active leaves are those made by {!param}.
+    {!backward} sweeps active nodes only — it neither visits an
+    inactive node nor calls the vjp into one — so data, observations
+    and other {!const} leaves cost nothing in the reverse pass. Build
+    with {!param} exactly the leaves whose gradient you will read
+    ([Store.Frame.get] does this for training parameters); {!grad} on
+    an inactive node raises instead of returning zeros. Gradients of
+    active nodes are bit-identical to an unpruned sweep's. *)
 
 type t
 (** A differentiable tensor value. *)
@@ -16,11 +27,15 @@ type t
 (** {1 Leaves and constants} *)
 
 val const : Tensor.t -> t
-(** A leaf node. Gradients accumulate into leaves like any other node;
-    whether a leaf is a "parameter" is the caller's concern. *)
+(** An inactive leaf: data, never differentiated. No gradient reaches
+    it, nor any node built only from constants. *)
+
+val param : Tensor.t -> t
+(** An active leaf: a value {!backward} differentiates with respect
+    to. Read its gradient with {!grad}. *)
 
 val scalar : float -> t
-(** Rank-0 leaf. *)
+(** Rank-0 {!const}. *)
 
 val value : t -> Tensor.t
 (** The primal value. *)
@@ -31,9 +46,10 @@ val to_float : t -> float
 val shape : t -> int array
 
 val is_leaf : t -> bool
-(** [true] when no gradient can flow out of this node (it was created by
-    {!const}, {!scalar}, or {!stop_grad}). Used by [Value.to_float_rigid]
-    to enforce the paper's R / R* smoothness discipline at runtime. *)
+(** [true] when the node has no parents (it was created by {!const},
+    {!param}, {!scalar}, or {!stop_grad}). Structural, independent of
+    activity: used by [Value.to_float_rigid] to enforce the paper's
+    R / R* smoothness discipline at runtime. *)
 
 val id : t -> int
 (** A unique, stable identifier for this node (graph-construction
@@ -45,9 +61,16 @@ val node_count : unit -> int
     monotone). Deltas between two reads measure a region's tape
     growth; the observability layer gauges this per training step. *)
 
+val swept_nodes : unit -> int
+(** Total number of nodes visited by reverse sweeps so far (process-
+    wide, monotone; checkpoint replays included). Inactive nodes are
+    recorded by {!node_count} but never swept, so a step's delta here
+    is at most its {!node_count} delta. *)
+
 (** {1 Live-tape accounting}
 
-    Created-minus-retired node counts. Nodes retire when a
+    Created-minus-retired counts of active nodes (the ones a
+    {!backward} consumes). Nodes retire when a
     {!checkpoint} barrier discards its segment, when a replayed
     segment's local sweep completes, and when {!backward} has consumed
     a tape — so with remat barriers the {e peak} stops scaling with
@@ -117,8 +140,9 @@ val with_shard_mode : (unit -> 'a) -> 'a
 (** {1 Differentiation} *)
 
 val backward : t -> unit
-(** Seed the (scalar) root with gradient 1 and backpropagate. Safe to
-    call once per graph. @raise Invalid_argument on a non-scalar root. *)
+(** Seed the (scalar) root with gradient 1 and backpropagate into every
+    active node it reaches (a no-op for an inactive root). Safe to call
+    once per graph. @raise Invalid_argument on a non-scalar root. *)
 
 val backward_epoch : unit -> int
 (** Monotone count of completed {!backward} passes. The arena-backed
@@ -128,10 +152,11 @@ val backward_epoch : unit -> int
 
 val grad : t -> Tensor.t
 (** The gradient accumulated into this node by the last {!backward}
-    through it; a zero tensor if none reached it. *)
+    through it; a zero tensor if none reached it.
+    @raise Invalid_argument if the node is inactive (see {!param}). *)
 
 val stop_grad : t -> t
-(** A node with the same value through which no gradient flows. *)
+(** An inactive node with the same value: no gradient flows through. *)
 
 val custom : value:Tensor.t -> parents:(t * (Tensor.t -> Tensor.t)) list -> t
 (** [custom ~value ~parents] creates a node with an explicit

@@ -23,7 +23,7 @@ let segments_of_digit = function
   | d -> invalid_arg (Printf.sprintf "Data.digit_glyph: %d" d)
 
 (* Draw the glyph in a 10x6 box centered in the 12x12 sprite. *)
-let digit_glyph d =
+let render_glyph d =
   let segs = segments_of_digit d in
   let on seg = List.mem seg segs in
   let top = 1 and left = 3 in
@@ -45,38 +45,9 @@ let digit_glyph d =
         if hit then 1. else 0.
       end)
 
-let shift_image img dr dc =
-  let side = (Tensor.shape img).(0) in
-  Tensor.init [| side; side |] (fun ix ->
-      let r = ix.(0) - dr and c = ix.(1) - dc in
-      if r < 0 || r >= side || c < 0 || c >= side then 0.
-      else Tensor.get img [| r; c |])
-
-let flip_pixels key rate img =
-  let u = Prng.uniform_tensor key (Tensor.shape img) in
-  Tensor.map2 (fun ui xi -> if ui < rate then 1. -. xi else xi) u img
-
-let sprite ?(noise = 0.02) key d =
-  let k1, rest = Prng.split key in
-  let k2, k3 = Prng.split rest in
-  let dr = Prng.categorical k1 [| 1.; 1.; 1. |] - 1 in
-  let dc = Prng.categorical k2 [| 1.; 1.; 1. |] - 1 in
-  flip_pixels k3 noise (shift_image (digit_glyph d) dr dc)
-
-let digit_batch ?noise key n =
-  let ks = Prng.split_many key n in
-  let labels = Array.map (fun k -> Prng.categorical k (Array.make 10 1.)) ks in
-  let images =
-    Array.to_list
-      (Array.mapi
-         (fun i k -> Tensor.flatten (sprite ?noise (Prng.fold_in k 1) labels.(i)))
-         ks)
-  in
-  (Tensor.stack0 images, labels)
-
 (* Nearest-neighbour downsample of the 12x12 glyph to 6x6. *)
-let patch_glyph d =
-  let g = digit_glyph d in
+let render_patch d =
+  let g = render_glyph d in
   Tensor.init [| patch_side; patch_side |] (fun ix ->
       let r = ix.(0) * sprite_side / patch_side in
       let c = ix.(1) * sprite_side / patch_side in
@@ -89,46 +60,132 @@ let patch_glyph d =
       done;
       !any)
 
+(* The ten glyphs and patches, rendered once; the batch generators
+   below copy pixels out of these row-major arrays. *)
+let glyphs = Array.init 10 (fun d -> Tensor.to_array (render_glyph d))
+let patches = Array.init 10 (fun d -> Tensor.to_array (render_patch d))
+
+let check_digit d =
+  if d < 0 || d > 9 then invalid_arg (Printf.sprintf "Data.digit_glyph: %d" d)
+
+let digit_glyph d =
+  check_digit d;
+  Tensor.of_array [| sprite_side; sprite_side |] glyphs.(d)
+
+let patch_glyph d =
+  check_digit d;
+  Tensor.of_array [| patch_side; patch_side |] patches.(d)
+
+let thirds = [| 1.; 1.; 1. |]
+let tenths = Array.make 10 1.
+
+(* Pixel flips: [dst.(off + j)] flips when the [j]-th uniform of [key]
+   is below [rate]. [u] is scratch of the image's size. *)
+let flip_into ~u key rate dst off =
+  Prng.fill_uniform key u;
+  for j = 0 to Array.length u - 1 do
+    if u.(j) < rate then dst.(off + j) <- 1. -. dst.(off + j)
+  done
+
+(* Writes the flattened [sprite ~noise key d] into [dst] at [off]: the
+   glyph shifted by ([dr], [dc]) with zero fill, then flipped. *)
+let sprite_into ~noise ~u key d dst off =
+  let k1, rest = Prng.split key in
+  let k2, k3 = Prng.split rest in
+  let dr = Prng.categorical k1 thirds - 1 in
+  let dc = Prng.categorical k2 thirds - 1 in
+  let g = glyphs.(d) in
+  for r = 0 to sprite_side - 1 do
+    for c = 0 to sprite_side - 1 do
+      let sr = r - dr and sc = c - dc in
+      if sr >= 0 && sr < sprite_side && sc >= 0 && sc < sprite_side then
+        dst.(off + (r * sprite_side) + c) <- g.((sr * sprite_side) + sc)
+    done
+  done;
+  flip_into ~u k3 noise dst off
+
+let sprite ?(noise = 0.02) key d =
+  check_digit d;
+  let u = Array.make sprite_dim 0. in
+  Tensor.of_fill [| sprite_side; sprite_side |] (fun dst ->
+      sprite_into ~noise ~u key d dst 0)
+
+let digit_batch ?(noise = 0.02) key n =
+  let ks = Prng.split_many key n in
+  if n = 0 then raise (Tensor.Shape_error "Data.digit_batch: empty batch");
+  let labels = Array.map (fun k -> Prng.categorical k tenths) ks in
+  let u = Array.make sprite_dim 0. in
+  let images =
+    Tensor.of_fill [| n; sprite_dim |] (fun dst ->
+        Array.iteri
+          (fun i k ->
+            sprite_into ~noise ~u (Prng.fold_in k 1) labels.(i) dst (i * sprite_dim))
+          ks)
+  in
+  (images, labels)
+
 let position_offset i =
   if i < 0 || i >= num_positions then
     invalid_arg (Printf.sprintf "Data.position_offset: %d" i);
   let step = canvas_side - patch_side in
   (i / 2 * step, i mod 2 * step)
 
-let render_scene objs =
-  let canvas = Array.make canvas_dim 0. in
+(* Composites (digit, position) objects onto the zeroed canvas at
+   [off] of [dst]. *)
+let scene_into objs dst off =
   List.iter
     (fun (digit, pos) ->
-      let patch = patch_glyph digit in
+      check_digit digit;
+      let patch = patches.(digit) in
       let r0, c0 = position_offset pos in
       for r = 0 to patch_side - 1 do
         for c = 0 to patch_side - 1 do
-          let p = Tensor.get patch [| r; c |] in
-          let i = ((r0 + r) * canvas_side) + (c0 + c) in
+          let p = patch.((r * patch_side) + c) in
+          let i = off + ((r0 + r) * canvas_side) + (c0 + c) in
           (* Probabilistic OR keeps overlaps in [0, 1]. *)
-          canvas.(i) <- 1. -. ((1. -. canvas.(i)) *. (1. -. p))
+          dst.(i) <- 1. -. ((1. -. dst.(i)) *. (1. -. p))
         done
       done)
-    objs;
-  Tensor.of_array [| canvas_side; canvas_side |] canvas
+    objs
 
-let air_scene key =
+let render_scene objs =
+  Tensor.of_fill [| canvas_side; canvas_side |] (fun dst -> scene_into objs dst 0)
+
+(* Writes one flattened scene into [dst] at [off]; returns its count. *)
+let air_scene_into ~u key dst off =
   let k1, rest = Prng.split key in
   let k2, k3 = Prng.split rest in
   let count = Prng.categorical k1 (Array.make (max_objects + 1) 1.) in
   let positions = Prng.permutation k2 num_positions in
   let objs =
     List.init count (fun i ->
-        let digit = Prng.categorical (Prng.fold_in k3 i) (Array.make 10 1.) in
+        let digit = Prng.categorical (Prng.fold_in k3 i) tenths in
         (digit, positions.(i)))
   in
-  let img = flip_pixels (Prng.fold_in k3 99) 0.01 (render_scene objs) in
-  (Tensor.flatten img, count)
+  scene_into objs dst off;
+  flip_into ~u (Prng.fold_in k3 99) 0.01 dst off;
+  count
+
+let air_scene key =
+  let u = Array.make canvas_dim 0. in
+  let count = ref 0 in
+  let img =
+    Tensor.of_fill [| canvas_dim |] (fun dst -> count := air_scene_into ~u key dst 0)
+  in
+  (img, !count)
 
 let air_batch key n =
   let ks = Prng.split_many key n in
-  let scenes = Array.map air_scene ks in
-  (Tensor.stack0 (Array.to_list (Array.map fst scenes)), Array.map snd scenes)
+  if n = 0 then raise (Tensor.Shape_error "Data.air_batch: empty batch");
+  let counts = Array.make n 0 in
+  let u = Array.make canvas_dim 0. in
+  let images =
+    Tensor.of_fill [| n; canvas_dim |] (fun dst ->
+        Array.iteri
+          (fun i k -> counts.(i) <- air_scene_into ~u k dst (i * canvas_dim))
+          ks)
+  in
+  (images, counts)
 
 let as_square img =
   match Tensor.rank img with

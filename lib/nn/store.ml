@@ -458,7 +458,7 @@ module Frame = struct
       match Hashtbl.find_opt f.leaves name with
       | Some leaf -> leaf
       | None ->
-        let leaf = Ad.const (tensor f.store name) in
+        let leaf = Ad.param (tensor f.store name) in
         Hashtbl.add f.leaves name leaf;
         leaf
 

@@ -140,8 +140,9 @@ module Frame : sig
   (** The detached view of an existing frame's store. *)
 
   val get : t -> string -> Ad.t
-  (** The leaf node for a parameter — one node per name per frame, so
-      repeated lookups share gradients. @raise Not_found if
+  (** The {!Ad.param} leaf for a parameter — one node per name per
+      frame, so repeated lookups share gradients (on a detached frame,
+      a fresh {!Ad.const} instead). @raise Not_found if
       unregistered. *)
 
   val get_detached : t -> string -> Ad.t

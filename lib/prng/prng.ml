@@ -6,7 +6,7 @@ type key = int64
 
 let golden = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
       0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
@@ -20,21 +20,23 @@ let split k =
   let b = mix64 (Int64.add k (Int64.mul golden 2L)) in
   (a, b)
 
-let split_many k n =
-  Array.init n (fun i ->
-      mix64 (Int64.add k (Int64.mul golden (Int64.of_int (i + 1)))))
+(* [split_many k n].(i), with no array. *)
+let[@inline] nth_key k i =
+  mix64 (Int64.add k (Int64.mul golden (Int64.of_int (i + 1))))
+
+let split_many k n = Array.init n (nth_key k)
 
 let fold_in k i =
   mix64 (Int64.add (Int64.logxor k (mix64 (Int64.of_int i))) golden)
 
 (* Raw draws *)
 
-let to_unit_float bits =
+let[@inline] to_unit_float bits =
   (* Use the top 53 bits to build a float in [0, 1). *)
   let mant = Int64.shift_right_logical bits 11 in
   Int64.to_float mant *. (1. /. 9007199254740992.)
 
-let uniform k = to_unit_float (mix64 (Int64.add k 1L))
+let[@inline] uniform k = to_unit_float (mix64 (Int64.add k 1L))
 
 let uniform_range k lo hi =
   if not (Float.is_finite lo && Float.is_finite hi) then
@@ -45,10 +47,10 @@ let uniform_range k lo hi =
       (Printf.sprintf "Prng.uniform_range: empty range [%g, %g]" lo hi);
   lo +. ((hi -. lo) *. uniform k)
 
-let normal k =
-  let k1, k2 = split k in
-  let u1 = Float.max (uniform k1) 1e-300 in
-  let u2 = uniform k2 in
+(* Box-Muller over the two halves of [split k], without the pair. *)
+let[@inline] normal k =
+  let u1 = Float.max (uniform (mix64 (Int64.add k golden))) 1e-300 in
+  let u2 = uniform (mix64 (Int64.add k (Int64.mul golden 2L))) in
   Float.sqrt (-2. *. Float.log u1) *. Float.cos (2. *. Float.pi *. u2)
 
 let normal_mean_std k mu sigma = mu +. (sigma *. normal k)
@@ -203,15 +205,21 @@ let permutation k n =
 
 (* Tensor-valued draws *)
 
-let uniform_tensor k shape =
-  let n = Tensor.size (Tensor.zeros shape) in
-  let ks = split_many k n in
-  Tensor.of_array shape (Array.map uniform ks)
+(* Element [i] of a tensor draw uses the key [(split_many k n).(i)],
+   derived in the loop so that no key array (nor any boxed key) is
+   allocated. *)
+let fill_uniform k data =
+  for i = 0 to Array.length data - 1 do
+    Array.unsafe_set data i (uniform (nth_key k i))
+  done
+
+let uniform_tensor k shape = Tensor.of_fill shape (fill_uniform k)
 
 let normal_tensor k shape =
-  let n = Tensor.size (Tensor.zeros shape) in
-  let ks = split_many k n in
-  Tensor.of_array shape (Array.map normal ks)
+  Tensor.of_fill shape (fun data ->
+      for i = 0 to Array.length data - 1 do
+        Array.unsafe_set data i (normal (nth_key k i))
+      done)
 
 let normal_tensor_mean_std k mean std =
   let eps = normal_tensor k (Tensor.shape mean) in

@@ -87,7 +87,14 @@ val permutation : key -> int -> int array
 (** {1 Tensor-valued draws} *)
 
 val uniform_tensor : key -> int array -> Tensor.t
+(** Element [i] (row-major) is [uniform (split_many k n).(i)]. *)
+
 val normal_tensor : key -> int array -> Tensor.t
+(** Element [i] (row-major) is [normal (split_many k n).(i)]. *)
+
+val fill_uniform : key -> float array -> unit
+(** [fill_uniform k a] writes the elements of [uniform_tensor k] over
+    [Array.length a] elements into [a], allocating nothing. *)
 
 val normal_tensor_mean_std : key -> Tensor.t -> Tensor.t -> Tensor.t
 (** Elementwise [mean + std * eps] with iid standard-normal [eps];

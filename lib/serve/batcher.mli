@@ -56,9 +56,7 @@ val register :
     real-carrier latent addresses (sampled by the guide). When
     [params_dir] is given, the store is warm-started from
     [Store.load_latest_result params_dir] and hot-reloaded whenever the
-    directory's [latest] pointer rotates to a new checkpoint. A
-    compiled plan is staged eagerly via [Compile.plan_for] under the id
-    ["serve/<name>"] and used for scalar density evaluations. *)
+    directory's [latest] pointer rotates to a new checkpoint. *)
 
 val register_builtins : ?params_root:string -> t -> unit
 (** Registers the built-in servable models: [coin], [cone] (naive
@@ -72,9 +70,6 @@ val chain_latents : int
 val models : t -> string list
 val model_sig : t -> string -> string list option
 (** Sorted latent addresses of a registered model. *)
-
-val plan_status : t -> string -> string option
-(** ["compiled"] or ["interpreted (PVxxx ...)"] for a registered model. *)
 
 (** {1 Submitting} *)
 

@@ -154,6 +154,11 @@ let of_array shape data =
       pp_shape shape;
   mk (Array.copy shape) (Array.copy data)
 
+let of_fill shape fill =
+  let data = Array.make (shape_size shape) 0. in
+  fill data;
+  mk (Array.copy shape) data
+
 let scalar x = mk [||] [| x |]
 let zeros shape = mk (Array.copy shape) (alloc (shape_size shape))
 

@@ -31,6 +31,12 @@ val of_array : int array -> float array -> t
 (** [of_array shape data] wraps [data] (copied) as a tensor of [shape].
     @raise Shape_error if [Array.length data] does not match the shape. *)
 
+val of_fill : int array -> (float array -> unit) -> t
+(** [of_fill shape fill] hands a fresh zeroed row-major buffer of
+    [shape]'s size to [fill], then wraps it (uncopied) as a tensor —
+    for generators that write their elements in a loop. [fill] must
+    not retain the buffer. *)
+
 val of_list1 : float list -> t
 (** Rank-1 tensor from a list. *)
 

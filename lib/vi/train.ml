@@ -152,6 +152,7 @@ let fit_generic ~store ~optim ~direction ~guard ~persist ~on_step ~steps
        the exact instruction stream the unobserved loop did. *)
     let live = Obs.live () in
     let nodes0 = if live then Ad.node_count () else 0 in
+    let swept0 = if live then Ad.swept_nodes () else 0 in
     let minor0 = if live then Gc.minor_words () else 0. in
     (* Per-step live-tape statistics: reset from this quiescent point
        so the peak gauge (and the remat acceptance tests) measure one
@@ -230,6 +231,7 @@ let fit_generic ~store ~optim ~direction ~guard ~persist ~on_step ~steps
     in
     if live then begin
       Obs.gauge "train/tape_nodes" (float_of_int (Ad.node_count () - nodes0));
+      Obs.gauge "train/swept_nodes" (float_of_int (Ad.swept_nodes () - swept0));
       Obs.gauge "train/peak_live_nodes" (float_of_int (Ad.peak_live_nodes ()));
       Obs.gauge "train/minor_words" (Gc.minor_words () -. minor0)
     end;

@@ -34,7 +34,7 @@ let test_reparam_normal () =
   let open Adev.Syntax in
   let v, g =
     mean_grad ~n:4000 (fun () ->
-        let theta = Ad.scalar 1.3 in
+        let theta = Ad.param (Tensor.scalar 1.3) in
         ( theta,
           let* x = Adev.sample (Dist.normal_reparam theta (Ad.scalar 1.)) in
           Adev.return (sq x) ))
@@ -46,7 +46,7 @@ let test_reinforce_normal () =
   let open Adev.Syntax in
   let v, g =
     mean_grad ~n:40000 (fun () ->
-        let theta = Ad.scalar 1.3 in
+        let theta = Ad.param (Tensor.scalar 1.3) in
         ( theta,
           let* x = Adev.sample (Dist.normal_reinforce theta (Ad.scalar 1.)) in
           Adev.return (sq x) ))
@@ -58,7 +58,7 @@ let test_mvd_normal_mean () =
   let open Adev.Syntax in
   let _, g =
     mean_grad ~n:8000 (fun () ->
-        let theta = Ad.scalar 1.3 in
+        let theta = Ad.param (Tensor.scalar 1.3) in
         ( theta,
           let* x = Adev.sample (Dist.normal_mvd theta (Ad.scalar 1.)) in
           Adev.return (sq x) ))
@@ -70,7 +70,7 @@ let test_mvd_normal_scale () =
   let open Adev.Syntax in
   let _, g =
     mean_grad ~n:20000 (fun () ->
-        let theta = Ad.scalar 0.9 in
+        let theta = Ad.param (Tensor.scalar 0.9) in
         ( theta,
           let* x = Adev.sample (Dist.normal_mvd (Ad.scalar 0.) theta) in
           Adev.return (sq x) ))
@@ -81,7 +81,7 @@ let test_reparam_normal_scale () =
   let open Adev.Syntax in
   let _, g =
     mean_grad ~n:4000 (fun () ->
-        let theta = Ad.scalar 0.9 in
+        let theta = Ad.param (Tensor.scalar 0.9) in
         ( theta,
           let* x = Adev.sample (Dist.normal_reparam (Ad.scalar 0.) theta) in
           Adev.return (sq x) ))
@@ -98,7 +98,7 @@ let branchy theta sample_flip =
 
 let test_flip_enum_exact () =
   (* ENUM is exact: a single run yields the analytic value and gradient. *)
-  let theta = Ad.scalar 0.3 in
+  let theta = Ad.param (Tensor.scalar 0.3) in
   let _, obj = branchy theta (fun t -> Adev.sample (Dist.flip_enum t)) in
   let v, grads = Adev.grad ~params:[ ("theta", theta) ] obj k0 in
   check_close "enum value" ~tol:1e-9 1.6 v;
@@ -108,7 +108,7 @@ let test_flip_enum_exact () =
 let test_flip_mvd_exact_for_deterministic_continuation () =
   (* With a deterministic continuation the flip MVD coupling is also
      exact on every sample. *)
-  let theta = Ad.scalar 0.3 in
+  let theta = Ad.param (Tensor.scalar 0.3) in
   let _, obj = branchy theta (fun t -> Adev.sample (Dist.flip_mvd t)) in
   let _, grads = Adev.grad ~params:[ ("theta", theta) ] obj k0 in
   check_close "flip mvd grad" ~tol:1e-9 2.
@@ -117,7 +117,7 @@ let test_flip_mvd_exact_for_deterministic_continuation () =
 let test_flip_reinforce () =
   let _, g =
     mean_grad ~n:40000 (fun () ->
-        branchy (Ad.scalar 0.3) (fun t -> Adev.sample (Dist.flip_reinforce t)))
+        branchy (Ad.param (Tensor.scalar 0.3)) (fun t -> Adev.sample (Dist.flip_reinforce t)))
   in
   check_close "flip reinforce grad" ~tol:0.1 2. g
 
@@ -125,7 +125,7 @@ let test_flip_reinforce_baseline () =
   let cell = Baseline.create () in
   let _, g =
     mean_grad ~n:40000 (fun () ->
-        branchy (Ad.scalar 0.3) (fun t ->
+        branchy (Ad.param (Tensor.scalar 0.3)) (fun t ->
             Adev.sample (Dist.flip_reinforce_bl cell t)))
   in
   check_close "flip reinforce+bl grad" ~tol:0.1 2. g
@@ -149,7 +149,7 @@ let test_baseline_reduces_variance () =
   let plain =
     grad_samples
       (fun () ->
-        branchy (Ad.scalar 0.3) (fun t -> Adev.sample (Dist.flip_reinforce t)))
+        branchy (Ad.param (Tensor.scalar 0.3)) (fun t -> Adev.sample (Dist.flip_reinforce t)))
       4000
   in
   let cell = Baseline.create () in
@@ -157,7 +157,7 @@ let test_baseline_reduces_variance () =
   let with_bl =
     grad_samples
       (fun () ->
-        branchy (Ad.scalar 0.3) (fun t ->
+        branchy (Ad.param (Tensor.scalar 0.3)) (fun t ->
             Adev.sample (Dist.flip_reinforce_bl cell t)))
       4000
   in
@@ -169,7 +169,7 @@ let test_baseline_reduces_variance () =
 
 let test_categorical_enum_exact () =
   (* E over a 3-way choice of [0; 10; 20] indexed values. *)
-  let theta = Ad.scalar 0.2 in
+  let theta = Ad.param (Tensor.scalar 0.2) in
   let open Adev.Syntax in
   let probs =
     (* probs = [theta; 2 theta; 1 - 3 theta] *)
@@ -189,7 +189,7 @@ let test_categorical_enum_exact () =
 
 let test_score () =
   (* E (do { score (2 theta); return 3 }) = 6 theta; gradient 6. *)
-  let theta = Ad.scalar 0.7 in
+  let theta = Ad.param (Tensor.scalar 0.7) in
   let open Adev.Syntax in
   let obj =
     let* () = Adev.score (Ad.scale 2. theta) in
@@ -206,7 +206,7 @@ let test_score_with_reinforce_site () =
      score weight with the score-function term. *)
   let _, g =
     mean_grad ~n:40000 (fun () ->
-        let theta = Ad.scalar 0.4 in
+        let theta = Ad.param (Tensor.scalar 0.4) in
         let open Adev.Syntax in
         ( theta,
           let* b = Adev.sample (Dist.flip_reinforce theta) in
@@ -224,7 +224,7 @@ let test_compound_mixed_strategies () =
   let open Adev.Syntax in
   let _, g =
     mean_grad ~n:8000 (fun () ->
-        let theta = Ad.scalar th in
+        let theta = Ad.param (Tensor.scalar th) in
         ( theta,
           let* b = Adev.sample (Dist.flip_enum (Ad.scalar p)) in
           let mu = if b then theta else Ad.scalar 0. in
@@ -263,7 +263,7 @@ let test_forward_reverse_agree_reinforce () =
     let total = ref 0. in
     Array.iter
       (fun key ->
-        let th = Ad.scalar theta in
+        let th = Ad.param (Tensor.scalar theta) in
         let open Adev.Syntax in
         let obj =
           let* x = Adev.sample (Dist.normal_reinforce th (Ad.scalar 1.)) in
@@ -348,7 +348,7 @@ let prop_enum_exact =
     QCheck.(triple (float_range 0.05 0.95) (float_range (-3.) 3.)
               (float_range (-3.) 3.))
     (fun (p, ft, ff) ->
-      let theta = Ad.scalar p in
+      let theta = Ad.param (Tensor.scalar p) in
       let open Adev.Syntax in
       let obj =
         let* b = Adev.sample (Dist.flip_enum theta) in
@@ -369,7 +369,7 @@ let prop_strategies_agree =
               (float_range (-2.) 2.))
     (fun (p, ft, ff) ->
       let objective sample_flip =
-        let theta = Ad.scalar p in
+        let theta = Ad.param (Tensor.scalar p) in
         ( theta,
           let open Adev.Syntax in
           let* b = sample_flip theta in

@@ -90,7 +90,7 @@ let toy_elbo_grad theta =
 
 let test_svi_enum_exact () =
   let theta = 0.4 in
-  let leaf = Ad.scalar theta in
+  let leaf = Ad.param (Tensor.scalar theta) in
   let s =
     Svi.elbo_surrogate ~model:toy_model ~guide:(toy_guide_enum leaf)
       Svi.Enum_discrete k0
@@ -105,7 +105,7 @@ let test_svi_reinforce_unbiased () =
   let n = 40000 in
   let total_v = ref 0. and total_g = ref 0. in
   for i = 0 to n - 1 do
-    let leaf = Ad.scalar theta in
+    let leaf = Ad.param (Tensor.scalar theta) in
     let s =
       Svi.elbo_surrogate ~model:toy_model ~guide:(toy_guide leaf) Svi.Reinforce
         (Prng.fold_in k0 i)
@@ -124,7 +124,7 @@ let test_svi_baselines_unbiased () =
   let n = 40000 in
   let total_g = ref 0. in
   for i = 0 to n - 1 do
-    let leaf = Ad.scalar theta in
+    let leaf = Ad.param (Tensor.scalar theta) in
     let s =
       Svi.elbo_surrogate ~model:toy_model ~guide:(toy_guide leaf)
         Svi.Reinforce_baselines (Prng.fold_in k0 i)
@@ -149,7 +149,7 @@ let test_svi_reparam_pathwise () =
   let n = 20000 in
   let total_g = ref 0. in
   for i = 0 to n - 1 do
-    let leaf = Ad.scalar mu in
+    let leaf = Ad.param (Tensor.scalar mu) in
     let guide = Gen.sample (Dist.normal_reparam leaf (Ad.scalar 1.)) "x" in
     let s = Svi.elbo_surrogate ~model ~guide Svi.Reinforce (Prng.fold_in k0 i) in
     Ad.backward s;
@@ -185,7 +185,7 @@ let test_svi_unsupported_iwelbo_enum () =
   Alcotest.(check bool) "menu elbo" true (Svi.supports ~objective:`Elbo Svi.Enum_discrete)
 
 let test_svi_iwelbo_reinforce_runs () =
-  let leaf = Ad.scalar 0.4 in
+  let leaf = Ad.param (Tensor.scalar 0.4) in
   let s =
     Svi.iwelbo_surrogate ~particles:3 ~model:toy_model ~guide:(toy_guide leaf)
       Svi.Reinforce k0

@@ -174,7 +174,7 @@ let fd_grad f t =
     arr
 
 let ad_grad f t =
-  let leaf = Ad.const t in
+  let leaf = Ad.param t in
   let out = f leaf in
   Ad.backward out;
   Tensor.to_array (Ad.grad leaf)
@@ -448,8 +448,8 @@ let test_plate_sample_prior_row_discipline () =
 
 let plated_elbo_gradient ~batched ~seed ~n =
   let key = Prng.key seed in
-  let mu_q = Ad.scalar 0.45 and sig_q = Ad.scalar 0.85 in
-  let prior_mu = Ad.scalar (-0.2) in
+  let mu_q = Ad.param (Tensor.scalar 0.45) and sig_q = Ad.param (Tensor.scalar 0.85) in
+  let prior_mu = Ad.param (Tensor.scalar (-0.2)) in
   let maybe d = if batched then d else strip d in
   let guide = plate_prog (maybe (Dist.normal_reparam mu_q sig_q)) n in
   let model =
@@ -546,7 +546,7 @@ let test_iwelbo_batched_statistics () =
     (Printf.sprintf "iwelbo means agree (%.3f vs %.3f)" seq bat)
     true
     (Float.abs (seq -. bat) < 0.05);
-  let mu' = Ad.scalar 0.3 in
+  let mu' = Ad.param (Tensor.scalar 0.3) in
   let _, grads =
     Adev.grad ~params:[ ("mu", mu') ]
       (Objectives.iwelbo ~batched:true ~particles:8 ~model:toy_model

@@ -314,7 +314,7 @@ let test_fused_bernoulli_density () =
   in
   (* Separate leaves over the same values: each formula gets its own
      gradient accumulator. *)
-  let l_fused = Ad.const raw and l_composed = Ad.const raw in
+  let l_fused = Ad.param raw and l_composed = Ad.param raw in
   let fused = (Dist.bernoulli_logits_vector l_fused).Dist.log_density x in
   (* Re-derive the composed formula directly (what non-leaf x uses). *)
   let composed =

@@ -14,7 +14,7 @@ let primal a = Tensor.to_scalar (Ad.value a)
 (* Gradient-check d.log_density at value [x] with respect to a scalar
    parameter embedded by [build]. *)
 let check_logd_grad name build x expected_grad =
-  let theta = Ad.scalar 0.8 in
+  let theta = Ad.param (Tensor.scalar 0.8) in
   let d = build theta in
   let lp = d.Dist.log_density x in
   Ad.backward lp;
@@ -50,7 +50,7 @@ let test_normal_sampler_moments () =
   check_close "normal sample mean" ~tol:0.02 2. mean
 
 let test_normal_reparam_sampler () =
-  let mu = Ad.scalar 2. and sigma = Ad.scalar 0.5 in
+  let mu = Ad.param (Tensor.scalar 2.) and sigma = Ad.scalar 0.5 in
   let d = Dist.normal_reparam mu sigma in
   match d.Dist.reparam with
   | None -> Alcotest.fail "reparam sampler missing"
@@ -216,7 +216,7 @@ let test_special_functions () =
     (Special.digamma 2.3 +. (1. /. 2.3))
     (Special.digamma 3.3);
   (* lgamma_ad derivative is digamma. *)
-  let a = Ad.scalar 2.7 in
+  let a = Ad.param (Tensor.scalar 2.7) in
   let l = Special.lgamma_ad a in
   Ad.backward l;
   check_close "lgamma_ad grad" ~tol:1e-8 (Special.digamma 2.7)

@@ -44,7 +44,7 @@ let test_laplace () =
 
 let test_laplace_reparam_grad () =
   (* d/dloc of a reparameterized sample is exactly 1. *)
-  let loc = Ad.scalar 1. in
+  let loc = Ad.param (Tensor.scalar 1.) in
   let d = Dist.laplace_reparam loc (Ad.scalar 0.5) in
   let x = (Option.get d.Dist.reparam) k0 in
   Ad.backward x;
@@ -53,11 +53,11 @@ let test_laplace_reparam_grad () =
 let test_laplace_density_grad () =
   (* d/dx log f = -sign(x - loc)/scale away from the kink. *)
   let d = Dist.laplace_reparam (Ad.scalar 0.) (Ad.scalar 0.5) in
-  let x = Ad.scalar 2. in
+  let x = Ad.param (Tensor.scalar 2.) in
   let lp = d.Dist.log_density x in
   Ad.backward lp;
   check_close "right slope" ~tol:1e-9 (-2.) (Tensor.to_scalar (Ad.grad x));
-  let y = Ad.scalar (-2.) in
+  let y = Ad.param (Tensor.scalar (-2.)) in
   let lp2 = d.Dist.log_density y in
   Ad.backward lp2;
   check_close "left slope" ~tol:1e-9 2. (Tensor.to_scalar (Ad.grad y))
@@ -86,7 +86,7 @@ let test_lognormal () =
   let n = 8000 in
   let total = ref 0. in
   for i = 0 to n - 1 do
-    let mu_l = Ad.scalar mu in
+    let mu_l = Ad.param (Tensor.scalar mu) in
     let d = Dist.lognormal_reparam mu_l (Ad.scalar sigma) in
     let x = (Option.get d.Dist.reparam) (Prng.fold_in k0 i) in
     Ad.backward x;
@@ -131,7 +131,7 @@ let test_scaled_beta () =
 let test_poisson_mvd_exact_linear () =
   (* f(n) = n: the coupling gives exactly f(n+1) - f(n) = 1 per sample,
      so d/drate E[N] = 1 with zero variance. *)
-  let rate = Ad.scalar 2.3 in
+  let rate = Ad.param (Tensor.scalar 2.3) in
   let open Adev.Syntax in
   let obj =
     let* n = Adev.sample (Dist.poisson_mvd rate) in
@@ -147,7 +147,7 @@ let test_poisson_mvd_quadratic () =
   let n = 20000 in
   let total = ref 0. in
   for i = 0 to n - 1 do
-    let rate = Ad.scalar rate_v in
+    let rate = Ad.param (Tensor.scalar rate_v) in
     let open Adev.Syntax in
     let obj =
       let* m = Adev.sample (Dist.poisson_mvd rate) in
@@ -197,7 +197,7 @@ let test_binomial () =
 let test_binomial_enum_gradient () =
   (* d/dp E[K] = n, exactly under enumeration. *)
   let n = 5 in
-  let p = Ad.scalar 0.35 in
+  let p = Ad.param (Tensor.scalar 0.35) in
   let open Adev.Syntax in
   let obj =
     let* x = Adev.sample (Dist.binomial_enum n p) in

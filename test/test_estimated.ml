@@ -80,7 +80,7 @@ let test_exp_gradient_unbiased () =
   let n = 60000 in
   let total = ref 0. in
   for i = 0 to n - 1 do
-    let theta = Ad.scalar theta_v in
+    let theta = Ad.param (Tensor.scalar theta_v) in
     let x =
       Estimated.of_fun (fun key ->
           Ad.add theta (Ad.scalar (0.1 *. Prng.normal key)))

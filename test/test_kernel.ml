@@ -254,7 +254,7 @@ let test_broadcast_to () =
    parent's own gradient buffer. *)
 
 let test_ad_alias_safety () =
-  let x = Ad.const (Tensor.of_list1 [ 1.; 2.; 3. ]) in
+  let x = Ad.param (Tensor.of_list1 [ 1.; 2.; 3. ]) in
   let z = Ad.add x x in
   let s = Ad.sum z in
   Ad.backward s;
@@ -266,7 +266,7 @@ let test_ad_alias_safety () =
 
 let test_ad_diamond () =
   (* s = sum (y + y) with y = 2x: every edge delivers an aliased delta. *)
-  let x = Ad.const (Tensor.of_list1 [ 1.; -1.; 0.5 ]) in
+  let x = Ad.param (Tensor.of_list1 [ 1.; -1.; 0.5 ]) in
   let y = Ad.scale 2. x in
   let z = Ad.add y y in
   let s = Ad.sum z in
@@ -277,7 +277,7 @@ let test_ad_diamond () =
 let test_deep_tape () =
   (* A 300k-node chain overflows the OCaml stack with a recursive DFS;
      the explicit-stack backward must handle it. *)
-  let x = Ad.scalar 1. in
+  let x = Ad.param (Tensor.scalar 1.) in
   let y = ref x in
   for _ = 1 to 300_000 do
     y := Ad.add_scalar 0. !y

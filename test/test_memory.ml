@@ -23,7 +23,7 @@ let centered key shape =
 
 let test_checkpoint_chain () =
   let run remat =
-    let p = Ad.const (centered (Prng.key 3) [| 4 |]) in
+    let p = Ad.param (centered (Prng.key 3) [| 4 |]) in
     let mk () = Ad.sum (Ad.mul (Ad.softplus p) (Ad.exp (Ad.scale 0.5 p))) in
     let root = if remat then Ad.checkpoint mk else mk () in
     Ad.backward root;
@@ -33,7 +33,7 @@ let test_checkpoint_chain () =
 
 let test_checkpoint_nested () =
   let run remat =
-    let p = Ad.const (centered (Prng.key 4) [| 5 |]) in
+    let p = Ad.param (centered (Prng.key 4) [| 5 |]) in
     let inner () = Ad.softplus (Ad.mul p p) in
     let mk () =
       let a = if remat then Ad.checkpoint inner else inner () in
@@ -48,7 +48,7 @@ let test_checkpoint_nested () =
 (* A thunk that returns a pre-existing node builds no barrier: the node
    itself comes back and gradients flow as if no checkpoint existed. *)
 let test_checkpoint_degenerate () =
-  let p = Ad.const (Tensor.scalar 1.5) in
+  let p = Ad.param (Tensor.scalar 1.5) in
   let c = Ad.checkpoint (fun () -> p) in
   Alcotest.(check bool) "same node" true (Ad.id c = Ad.id p);
   let root = Ad.mul c c in
@@ -57,7 +57,7 @@ let test_checkpoint_degenerate () =
     (Tensor.to_scalar (Ad.grad p))
 
 let test_remat_replays_counted () =
-  let p = Ad.const (centered (Prng.key 5) [| 3 |]) in
+  let p = Ad.param (centered (Prng.key 5) [| 3 |]) in
   let seg i () = Ad.sum (Ad.softplus (Ad.scale (float_of_int i +. 1.) p)) in
   let root =
     Ad.add (Ad.checkpoint (seg 0)) (Ad.checkpoint (seg 1))
@@ -165,7 +165,7 @@ let prop_remat_expectation_mean =
     (fun (case, (seed, samples)) ->
       let build = List.nth remat_cases case in
       let run remat =
-        let p = Ad.const (Tensor.scalar (0.2 +. (0.1 *. float_of_int (seed mod 5)))) in
+        let p = Ad.param (Tensor.scalar (0.2 +. (0.1 *. float_of_int (seed mod 5)))) in
         let s =
           Adev.expectation_mean ~remat ~samples (build p) (Prng.key seed)
         in

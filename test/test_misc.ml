@@ -138,7 +138,7 @@ let test_optim_reset () =
 (* AD edges. *)
 
 let test_ad_deep_chain () =
-  let x = Ad.const (Tensor.scalar 1.0001) in
+  let x = Ad.param (Tensor.scalar 1.0001) in
   let y = ref x in
   for _ = 1 to 2000 do
     y := Ad.scale 1.0 (Ad.add_scalar 0. !y)
@@ -148,7 +148,7 @@ let test_ad_deep_chain () =
     (Tensor.to_scalar (Ad.grad x))
 
 let test_ad_wide_fanout () =
-  let x = Ad.const (Tensor.scalar 2.) in
+  let x = Ad.param (Tensor.scalar 2.) in
   let terms = List.init 500 (fun _ -> x) in
   let y = Ad.add_list terms in
   Ad.backward y;
@@ -156,7 +156,7 @@ let test_ad_wide_fanout () =
     (Tensor.to_scalar (Ad.grad x))
 
 let test_ad_grad_before_backward_is_zero () =
-  let x = Ad.const (Tensor.of_list1 [ 1.; 2. ]) in
+  let x = Ad.param (Tensor.of_list1 [ 1.; 2. ]) in
   Alcotest.(check bool) "zero before backward" true
     (Tensor.approx_equal (Ad.grad x) (Tensor.zeros [| 2 |]))
 

@@ -669,6 +669,34 @@ let test_fault_hook_in_admission () =
           (outcome_str other));
       Batcher.drain b)
 
+(* ------------------------------------------------------------------ *)
+(* Scalar-path memory: a long run of requests that each take the scalar
+   density path (batches of one) must not grow the live heap. *)
+
+let test_scalar_path_bounded () =
+  let b =
+    fresh_batcher { Batcher.max_batch = 1; max_wait_us = 0.; queue_bound = 16 }
+  in
+  Batcher.start b;
+  let score i =
+    match Batcher.submit b (Serve.nth_request ~model:"chain" ~seed:5 (2 * i)) with
+    | Batcher.O_value v when Float.is_finite v -> ()
+    | _ -> Alcotest.failf "request %d: no finite score" i
+  in
+  for i = 0 to 199 do score i done;
+  Gc.full_major ();
+  let live0 = (Gc.stat ()).Gc.live_words in
+  for i = 200 to 2199 do score i done;
+  Gc.full_major ();
+  let live1 = (Gc.stat ()).Gc.live_words in
+  Batcher.drain b;
+  let stats = Batcher.stats b in
+  Alcotest.(check bool) "scalar rows only" true (stats.Batcher.s_vectorized_rows = 0);
+  (* 2,000 requests may keep a few hundred kB of bookkeeping, not the
+     ~200 kB per request a retained plan arena would. *)
+  if live1 - live0 > 500_000 then
+    Alcotest.failf "live heap grew by %d words over 2000 scalar scores" (live1 - live0)
+
 let suites =
   [ ( "serve-proto",
       [ QCheck_alcotest.to_alcotest proto_roundtrip;
@@ -694,7 +722,9 @@ let suites =
         Alcotest.test_case "unknown model" `Quick test_unknown_model;
         Alcotest.test_case "checkpoint hot reload" `Quick test_param_hot_reload;
         Alcotest.test_case "fault plan covers admission" `Quick
-          test_fault_hook_in_admission
+          test_fault_hook_in_admission;
+        Alcotest.test_case "scalar path holds no memory per request" `Quick
+          test_scalar_path_bounded
       ] );
     ( "serve-daemon",
       [ Alcotest.test_case "handshake, health, score, stats" `Quick

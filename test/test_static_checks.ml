@@ -32,7 +32,7 @@ let true_grad = phi theta_v
 
 let branchy_objective sample_normal =
   let open Adev.Syntax in
-  let theta = Ad.scalar theta_v in
+  let theta = Ad.param (Tensor.scalar theta_v) in
   ( theta,
     let* x = Adev.sample (sample_normal theta (Ad.scalar 1.)) in
     let xv = Gen.rigid x in
@@ -66,7 +66,7 @@ let test_naive_reparam_is_biased () =
      (branching on the primal while keeping the pathwise graph). *)
   let naive =
     mean_grad ~n:20000 (fun () ->
-        let theta = Ad.scalar theta_v in
+        let theta = Ad.param (Tensor.scalar theta_v) in
         let open Adev.Syntax in
         ( theta,
           let* x = Adev.sample (Dist.normal_reparam theta (Ad.scalar 1.)) in
@@ -142,7 +142,7 @@ let test_uniform_bounds_can_depend_on_rigid_randomness () =
 let test_relu_usable_at_own_risk () =
   (* The discussion section: ReLU gets the restrictive subgradient-0
      treatment; it is usable, with the kink's measure-zero caveat. *)
-  let x = Ad.const (Tensor.of_list1 [ -1.; 2. ]) in
+  let x = Ad.param (Tensor.of_list1 [ -1.; 2. ]) in
   let y = Ad.sum (Ad.relu x) in
   Ad.backward y;
   Alcotest.(check bool) "subgradient" true

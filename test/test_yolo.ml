@@ -116,7 +116,7 @@ let test_agrees_with_main_adev () =
   let n = 60000 in
   let total = ref 0. in
   for i = 0 to n - 1 do
-    let th1 = Ad.scalar 0.7 in
+    let th1 = Ad.param (Tensor.scalar 0.7) in
     let open Adev.Syntax in
     let obj =
       let* x = Adev.sample (Dist.normal_reparam th1 (Ad.scalar 1.)) in
